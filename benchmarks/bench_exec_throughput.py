@@ -49,7 +49,7 @@ from repro.backend import native as native_backend
 from repro.backend.codegen import CodegenError
 from repro.blas import LEVEL1_KERNELS, SGEMM, optimize_level_1, schedule_sgemm
 from repro.halide import schedule_blur
-from repro.interp import compile_proc, make_random_args, run_proc
+from repro.interp import clear_exec_stats, compile_proc, exec_stats, make_random_args, run_proc
 from repro.machines import AVX2, AVX512
 
 REPO = Path(__file__).resolve().parent.parent
@@ -141,8 +141,6 @@ def quarantine_overhead() -> dict | None:
     """
     import tempfile
 
-    from repro.interp import clear_exec_stats, exec_stats
-
     if native_backend.find_cc() is None or not hasattr(os, "fork"):
         return None
     saxpy = LEVEL1_KERNELS["saxpy"]
@@ -232,7 +230,7 @@ def main(argv) -> int:
     native_summary = None
     if cc is not None:
         native_backend.clear_memo()
-        native_backend.reset_cache_stats()
+        clear_exec_stats()
         for p in (saxpy, SGEMM, sched, sgemm_sched, blur_sched):
             root = p._root if hasattr(p, "_root") else p
             try:
@@ -248,8 +246,6 @@ def main(argv) -> int:
         }
 
     quarantine_summary = quarantine_overhead()
-
-    from repro.interp import exec_stats
 
     out = {
         "bench": "exec_throughput",

@@ -70,6 +70,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from .. import obs
 from ..errors import BackendError
 from ..guard import faults, quarantine
 from ..guard.retry import with_retry
@@ -95,7 +96,6 @@ __all__ = [
     "compile_native",
     "find_cc",
     "openmp_supported",
-    "reset_cache_stats",
     "clear_memo",
     "MAX_CACHE_ENTRIES",
 ]
@@ -138,30 +138,16 @@ class ArtifactPoisonedError(NativeError):
 
 MAX_CACHE_ENTRIES = 256
 
-_stats = {"memo_hits": 0, "disk_hits": 0, "compiles": 0, "corrupt_evicted": 0, "pruned": 0}
 _memo: Dict[str, "NativeProc"] = {}
 _cc_version_memo: Dict[str, str] = {}
-# one lock for the stats counters and the in-process memo maps: increments
-# are read-modify-write and the maps are shared by every thread that compiles
-# or trust-checks an artifact (e.g. schedule-service workers)
+# one lock for the in-process memo maps, shared by every thread that
+# compiles or trust-checks an artifact (e.g. schedule-service workers)
 _lock = threading.Lock()
-
-
-def _count(counter: str) -> None:
-    with _lock:
-        _stats[counter] += 1
 
 
 def cache_stats() -> Dict[str, int]:
     """Counters of the persistent artifact cache (process-wide, thread-safe)."""
-    with _lock:
-        return dict(_stats)
-
-
-def reset_cache_stats() -> None:
-    with _lock:
-        for k in _stats:
-            _stats[k] = 0
+    return obs.group("native_cache")
 
 
 def clear_memo() -> None:
@@ -556,7 +542,7 @@ def _prune(directory: str, keep: int) -> None:
             except OSError:
                 pass
         _evict_meta(e.path)
-        _count("pruned")
+        obs.add("native_cache", "pruned")
 
 
 def compile_native(
@@ -584,7 +570,7 @@ def compile_native(
     with _lock:
         memo = _memo.get(key)
     if memo is not None:
-        _count("memo_hits")
+        obs.add("native_cache", "memo_hits")
         return memo
 
     directory = directory or cache_dir()
@@ -613,12 +599,12 @@ def compile_native(
             if faults.should_fire("artifact-corrupt"):
                 raise OSError("injected corrupt artifact (fault: artifact-corrupt)")
             proc = _load(unit, so_path, key)
-            _count("disk_hits")
+            obs.add("native_cache", "disk_hits")
             os.utime(so_path)  # LRU touch
         except OSError:
             # corrupt or truncated artifact: evict and rebuild.  The trust
             # stamp goes with it — a rebuilt binary re-enters quarantine.
-            _count("corrupt_evicted")
+            obs.add("native_cache", "corrupt_evicted")
             try:
                 os.unlink(so_path)
             except OSError:
@@ -627,7 +613,7 @@ def compile_native(
     if proc is None:
         write_text_atomic(c_path, unit.source)
         _build(cc, options, c_path, so_path)
-        _count("compiles")
+        obs.add("native_cache", "compiles")
         try:
             proc = _load(unit, so_path, key)
         except OSError as exc:

@@ -19,7 +19,6 @@ See ``docs/robustness.md`` for the full guide.
 from .events import (
     MAX_EVENTS,
     FallbackEvent,
-    clear_fallback_events,
     fallback_counts,
     fallback_events,
     record_fallback,
@@ -39,10 +38,9 @@ from .quarantine import (
     guard_enabled,
     guard_stats,
     guard_timeout_s,
-    reset_guard_stats,
     run_guarded,
 )
-from .retry import reset_retry_stats, retry_stats, with_retry
+from .retry import retry_stats, with_retry
 
 __all__ = [
     # events
@@ -50,7 +48,6 @@ __all__ = [
     "record_fallback",
     "fallback_events",
     "fallback_counts",
-    "clear_fallback_events",
     "MAX_EVENTS",
     # faults
     "VALID_FAULTS",
@@ -66,10 +63,8 @@ __all__ = [
     "guard_enabled",
     "guard_timeout_s",
     "guard_stats",
-    "reset_guard_stats",
     "DEFAULT_TIMEOUT_S",
     # retry
     "with_retry",
     "retry_stats",
-    "reset_retry_stats",
 ]

@@ -31,23 +31,19 @@ Reason strings are stable identifiers, not prose — the interesting ones:
 
 from __future__ import annotations
 
-import threading
-from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, Dict, List, Optional
+from typing import Dict, List, Optional
+
+from .. import obs
+from ..obs import MAX_EVENTS
 
 __all__ = [
     "FallbackEvent",
     "record_fallback",
     "fallback_events",
     "fallback_counts",
-    "clear_fallback_events",
     "MAX_EVENTS",
 ]
-
-#: ring-buffer bound — a long-lived process must not leak memory recording
-#: the same degradation forever
-MAX_EVENTS = 512
 
 
 @dataclass(frozen=True)
@@ -70,13 +66,6 @@ class FallbackEvent:
         }
 
 
-_events: Deque[FallbackEvent] = deque(maxlen=MAX_EVENTS)
-_counts: Dict[str, int] = {}
-# counter increments are read-modify-write; a lock keeps totals exact when
-# several threads degrade at once (e.g. schedule-service workers)
-_lock = threading.Lock()
-
-
 def record_fallback(
     proc: str,
     stage: str,
@@ -86,9 +75,7 @@ def record_fallback(
 ) -> FallbackEvent:
     """Record one degradation step and return the event.  Thread-safe."""
     ev = FallbackEvent(proc, stage, reason, artifact_key, detail)
-    with _lock:
-        _events.append(ev)
-        _counts[reason] = _counts.get(reason, 0) + 1
+    obs.add("fallbacks", reason, event=ev)
     return ev
 
 
@@ -96,21 +83,13 @@ def fallback_events(reason: Optional[str] = None) -> List[FallbackEvent]:
     """The recorded events, newest last (optionally filtered by reason).
     Only the most recent :data:`MAX_EVENTS` are kept; :func:`fallback_counts`
     keeps exact totals."""
-    with _lock:
-        events = list(_events)
+    events = obs.events()
     if reason is None:
         return events
     return [e for e in events if e.reason == reason]
 
 
 def fallback_counts() -> Dict[str, int]:
-    """Exact per-reason totals since the last :func:`clear_fallback_events`
-    (not bounded by the event ring buffer)."""
-    with _lock:
-        return dict(_counts)
-
-
-def clear_fallback_events() -> None:
-    with _lock:
-        _events.clear()
-        _counts.clear()
+    """Exact per-reason totals since the last
+    :func:`~repro.interp.clear_exec_stats` (not bounded by the event log)."""
+    return obs.group("fallbacks")

@@ -34,11 +34,11 @@ import math
 import os
 import signal
 import sys
-import threading
 import time
 from dataclasses import dataclass
 from typing import Callable, Dict, Optional
 
+from .. import obs
 from . import faults
 
 __all__ = [
@@ -47,7 +47,6 @@ __all__ = [
     "guard_enabled",
     "guard_timeout_s",
     "guard_stats",
-    "reset_guard_stats",
     "DEFAULT_TIMEOUT_S",
 ]
 
@@ -55,27 +54,11 @@ DEFAULT_TIMEOUT_S = 30.0
 
 _EXIT_ERROR = 17  # child died on a Python exception (message on the pipe)
 
-_stats = {"guarded_runs": 0, "ok": 0, "crash": 0, "timeout": 0, "error": 0}
-# increments are read-modify-write; a lock keeps them exact under threads
-_stats_lock = threading.Lock()
-
-
-def _count(outcome: str) -> None:
-    with _stats_lock:
-        _stats[outcome] += 1
-
 
 def guard_stats() -> Dict[str, int]:
     """Counters of quarantined first runs and their outcomes (process-wide,
     thread-safe)."""
-    with _stats_lock:
-        return dict(_stats)
-
-
-def reset_guard_stats() -> None:
-    with _stats_lock:
-        for k in _stats:
-            _stats[k] = 0
+    return obs.group("guard")
 
 
 def guard_enabled() -> bool:
@@ -159,19 +142,19 @@ def run_guarded(fn: Callable[[], None], timeout_s: Optional[float] = None) -> Gu
     """
     if timeout_s is None:
         timeout_s = guard_timeout_s()
-    _count("guarded_runs")
+    obs.add("guard", "guarded_runs")
     if not hasattr(os, "fork"):
         # no isolation possible; run in-process and say so
         t0 = time.perf_counter()
         try:
             fn()
         except BaseException as exc:  # noqa: BLE001
-            _count("error")
+            obs.add("guard", "error")
             return GuardReport(
                 "error", error=f"{type(exc).__name__}: {exc}",
                 elapsed_s=time.perf_counter() - t0, forked=False,
             )
-        _count("ok")
+        obs.add("guard", "ok")
         return GuardReport("ok", elapsed_s=time.perf_counter() - t0, forked=False)
 
     sys.stdout.flush()
@@ -212,11 +195,11 @@ def run_guarded(fn: Callable[[], None], timeout_s: Optional[float] = None) -> Gu
     message = b"".join(chunks).decode("utf-8", "replace")
 
     if timed_out:
-        _count("timeout")
+        obs.add("guard", "timeout")
         return GuardReport("timeout", elapsed_s=elapsed,
                            error=f"watchdog timeout after {timeout_s:g}s")
     if os.WIFSIGNALED(status):
-        _count("crash")
+        obs.add("guard", "crash")
         sig = os.WTERMSIG(status)
         try:
             name = signal.Signals(sig).name
@@ -226,13 +209,13 @@ def run_guarded(fn: Callable[[], None], timeout_s: Optional[float] = None) -> Gu
                            error=f"killed by {name}")
     code = os.WEXITSTATUS(status)
     if code == 0:
-        _count("ok")
+        obs.add("guard", "ok")
         return GuardReport("ok", elapsed_s=elapsed)
     if code == _EXIT_ERROR:
-        _count("error")
+        obs.add("guard", "error")
         return GuardReport("error", error=message or "exception in guarded child",
                            elapsed_s=elapsed)
     # an unexplained nonzero exit is as untrustworthy as a signal death
-    _count("crash")
+    obs.add("guard", "crash")
     return GuardReport("crash", elapsed_s=elapsed,
                        error=f"guarded child exited with status {code}")

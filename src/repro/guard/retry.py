@@ -9,29 +9,20 @@ retried — the caller only routes :class:`OSError`-shaped failures here.
 
 from __future__ import annotations
 
-import threading
 import time
 from typing import Callable, Dict, Tuple, Type, TypeVar
 
-__all__ = ["with_retry", "retry_stats", "reset_retry_stats"]
+from .. import obs
+
+__all__ = ["with_retry", "retry_stats"]
 
 T = TypeVar("T")
-
-_stats: Dict[str, int] = {}
-# increments are read-modify-write; exact totals under concurrent retries
-_lock = threading.Lock()
 
 
 def retry_stats() -> Dict[str, int]:
     """``{operation label: number of retried attempts}`` (process-wide,
     thread-safe)."""
-    with _lock:
-        return dict(_stats)
-
-
-def reset_retry_stats() -> None:
-    with _lock:
-        _stats.clear()
+    return obs.group("retries")
 
 
 def with_retry(
@@ -54,7 +45,6 @@ def with_retry(
         except retry_on:
             if i == attempts - 1:
                 raise
-            with _lock:
-                _stats[label] = _stats.get(label, 0) + 1
+            obs.add("retries", label)
             time.sleep(min(max_delay_s, base_delay_s * (2**i)))
     raise AssertionError("unreachable")

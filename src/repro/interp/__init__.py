@@ -22,7 +22,6 @@ from .parallel import (
     PAR_CHUNKS,
     ThreadCountError,
     par_stats,
-    reset_par_stats,
     resolve_num_threads,
 )
 from .interpreter import (
@@ -60,6 +59,5 @@ __all__ = [
     "PAR_CHUNKS",
     "ThreadCountError",
     "par_stats",
-    "reset_par_stats",
     "resolve_num_threads",
 ]

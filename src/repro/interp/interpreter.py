@@ -57,6 +57,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from .. import obs
 from ..backend.lowering import NP_DTYPES as _DTYPES
 from ..backend.lowering import np_dtype_for as _dtype_for
 from ..errors import ExoError
@@ -368,31 +369,20 @@ def _record_native_fallback(root, exc, stage: str = "c->compiled") -> None:
 
 
 def exec_stats() -> Dict[str, object]:
-    """Structured degradation telemetry of this process: per-reason fallback
-    counts, the recent :class:`~repro.guard.events.FallbackEvent` records
-    (as dicts), the quarantine-guard counters, and the parallel-execution
-    counters (par loops dispatched, chunks executed, widest thread count
-    used, serial degrades)."""
-    from ..guard import fallback_counts, fallback_events, guard_stats
-    from .parallel import par_stats
-
-    return {
-        "fallbacks": fallback_counts(),
-        "events": [e.to_dict() for e in fallback_events()],
-        "guard": guard_stats(),
-        "parallel": par_stats(),
-    }
+    """The process-wide telemetry of :mod:`repro.obs` in one snapshot:
+    per-reason fallback counts, quarantine-guard outcomes, parallel-dispatch
+    counters, native-cache traffic, retries and primitive totals — plus
+    ``events``, the recent :class:`~repro.guard.events.FallbackEvent`
+    records as dicts."""
+    stats: Dict[str, object] = obs.snapshot()
+    stats["events"] = [e.to_dict() for e in obs.events()]
+    return stats
 
 
 def clear_exec_stats() -> None:
-    """Reset the fallback-event log, guard counters, and parallel counters
-    (tests, benchmarks)."""
-    from ..guard import clear_fallback_events, reset_guard_stats
-    from .parallel import reset_par_stats
-
-    clear_fallback_events()
-    reset_guard_stats()
-    reset_par_stats()
+    """Reset everything :func:`exec_stats` reports — the one reset of the
+    process-wide counters (tests, benchmarks)."""
+    obs.reset()
 
 
 def run_proc(

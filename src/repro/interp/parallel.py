@@ -55,6 +55,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from .. import obs
 from ..errors import ExoError
 
 __all__ = [
@@ -62,7 +63,6 @@ __all__ = [
     "PAR_CHUNKS",
     "par_for",
     "par_stats",
-    "reset_par_stats",
     "resolve_num_threads",
 ]
 
@@ -134,38 +134,12 @@ def _get_pool(workers: int) -> ThreadPoolExecutor:
         return _pool
 
 
-# ---------------------------------------------------------------------------
-# Telemetry (surfaced through repro.interp.exec_stats()["parallel"])
-# ---------------------------------------------------------------------------
-
-_stats_lock = threading.Lock()
-_stats: Dict[str, int] = {
-    "par_loops": 0,  # par_for dispatches executed
-    "chunks": 0,  # chunk bodies executed (serial or threaded)
-    "threads_max": 0,  # widest concurrency any dispatch used
-    "serial_degrades": 0,  # dispatches forced serial (fault / nesting)
-}
-
-
 def par_stats() -> Dict[str, int]:
-    """Per-process parallel-execution counters (copies; thread-safe)."""
-    with _stats_lock:
-        return dict(_stats)
-
-
-def reset_par_stats() -> None:
-    with _stats_lock:
-        for k in _stats:
-            _stats[k] = 0
-
-
-def _record(chunks: int, threads_used: int, degraded: bool) -> None:
-    with _stats_lock:
-        _stats["par_loops"] += 1
-        _stats["chunks"] += chunks
-        _stats["threads_max"] = max(_stats["threads_max"], threads_used)
-        if degraded:
-            _stats["serial_degrades"] += 1
+    """Per-process parallel-execution counters: ``par_for`` dispatches
+    executed, chunk bodies executed (serial or threaded), the widest
+    concurrency any dispatch used, and dispatches forced serial (fault /
+    nesting).  Surfaced through ``repro.interp.exec_stats()["parallel"]``."""
+    return obs.group("parallel")
 
 
 # ---------------------------------------------------------------------------
@@ -208,7 +182,8 @@ def par_for(
     """
     n = hi - lo
     if n <= 0:
-        _record(0, 1, False)
+        obs.add("parallel", "par_loops")
+        obs.add_max("parallel", "threads_max", 1)
         return []
 
     deterministic = fixed or bool(priv_arrays)
@@ -267,5 +242,9 @@ def par_for(
     for k, arr in enumerate(priv_arrays):
         for c in range(nchunks):
             arr += privs[c][k]
-    _record(nchunks, used, degraded)
+    obs.add("parallel", "par_loops")
+    obs.add("parallel", "chunks", nchunks)
+    obs.add_max("parallel", "threads_max", used)
+    if degraded:
+        obs.add("parallel", "serial_degrades")
     return results

@@ -27,7 +27,6 @@ from .counter import (
     count_rewrites,
     global_atomic_edit_count,
     global_rewrite_count,
-    reset_global_count,
 )
 from .loops import (
     add_loop,
@@ -130,5 +129,4 @@ __all__ = [
     "count_rewrites",
     "global_rewrite_count",
     "global_atomic_edit_count",
-    "reset_global_count",
 ]

@@ -13,7 +13,7 @@ Thread model: the *primitive stack* and the :class:`count_rewrites` scopes
 are thread-local — a scope counts only the rewrites performed by the thread
 that opened it, and nesting depth in one schedule-service worker never makes
 another worker's outermost primitive look nested.  The process-wide totals
-are shared across threads and lock-guarded.
+live in the ``primitives`` group of :mod:`repro.obs`.
 """
 
 from __future__ import annotations
@@ -21,6 +21,8 @@ from __future__ import annotations
 import threading
 from contextlib import ContextDecorator
 from typing import Dict, List, Optional
+
+from .. import obs
 
 __all__ = [
     "record_rewrite",
@@ -32,15 +34,8 @@ __all__ = [
     "count_rewrites",
     "global_rewrite_count",
     "global_atomic_edit_count",
-    "reset_global_count",
 ]
 
-
-_global_count = 0
-_global_atomic = 0
-_per_primitive: Dict[str, int] = {}
-_atomic_per_primitive: Dict[str, int] = {}
-_lock = threading.Lock()
 
 _tls = threading.local()
 
@@ -61,10 +56,7 @@ def _active_scopes() -> List["count_rewrites"]:
 
 def record_rewrite(primitive_name: str) -> None:
     """Record one application of a scheduling primitive."""
-    global _global_count
-    with _lock:
-        _global_count += 1
-        _per_primitive[primitive_name] = _per_primitive.get(primitive_name, 0) + 1
+    obs.add("primitives", "rewrites")
     for scope in _active_scopes():
         scope.total += 1
         scope.by_primitive[primitive_name] = scope.by_primitive.get(primitive_name, 0) + 1
@@ -102,33 +94,19 @@ def record_atomic_edits(n: int) -> None:
     for sessions opened by Procedure methods outside any primitive)."""
     if n <= 0:
         return
-    global _global_atomic
     name = current_primitive() or "<direct>"
-    with _lock:
-        _global_atomic += n
-        _atomic_per_primitive[name] = _atomic_per_primitive.get(name, 0) + n
+    obs.add("primitives", "atomic_edits", n)
     for scope in _active_scopes():
         scope.atomic_edits += n
         scope.atomic_by_primitive[name] = scope.atomic_by_primitive.get(name, 0) + n
 
 
 def global_rewrite_count() -> int:
-    with _lock:
-        return _global_count
+    return obs.group("primitives")["rewrites"]
 
 
 def global_atomic_edit_count() -> int:
-    with _lock:
-        return _global_atomic
-
-
-def reset_global_count() -> None:
-    global _global_count, _global_atomic
-    with _lock:
-        _global_count = 0
-        _global_atomic = 0
-        _per_primitive.clear()
-        _atomic_per_primitive.clear()
+    return obs.group("primitives")["atomic_edits"]
 
 
 class count_rewrites(ContextDecorator):

@@ -54,14 +54,11 @@ from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from typing import Dict, List, Optional, Tuple
 
+from .. import obs
 from ..api.cache import ReplayCache
 from ..api.trace import Trace, replay, state_hash
-from ..backend.native import cache_stats as native_cache_stats
 from ..core.procedure import Procedure
 from ..frontend.decorators import proc_from_source
-from ..guard.events import fallback_counts
-from ..guard.quarantine import guard_stats
-from ..guard.retry import retry_stats
 from ..persist import Journal
 from ..tune.results import Leaderboard, board_key
 from ..tune.runner import Measurement, _resolve_ref, evaluate_spec
@@ -466,8 +463,10 @@ class ScheduleService:
     # -- observability -------------------------------------------------------
 
     def stats(self) -> dict:
-        """The ``/stats`` payload: every shared-cache hit rate, worker-queue
-        depth, coalescing count, and request-latency percentiles."""
+        """The ``/stats`` payload: this service's request counts, worker-queue
+        depth, coalescing count, request-latency percentiles and replay-cache
+        hit rate, plus every process-wide group of :func:`repro.obs.snapshot`
+        (native cache, fallbacks, guard, retries, parallel, primitives)."""
         with self._stats_lock:
             counts = dict(self._counts)
             errors = self._errors
@@ -487,8 +486,6 @@ class ScheduleService:
                 "p95": _percentile(lat, 0.95),
             },
             "replay_cache": self.cache.stats(),
-            "native_cache": native_cache_stats(),
-            "fallbacks": fallback_counts(),
-            "guard": guard_stats(),
-            "retries": retry_stats(),
+            # the process-wide groups, as exec_stats() reports them
+            **obs.snapshot(),
         }

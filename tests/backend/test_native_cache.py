@@ -12,7 +12,7 @@ import pytest
 from repro.backend import native
 from repro.backend.codegen import CodegenOptions
 from repro.blas import LEVEL1_KERNELS, optimize_level_1
-from repro.interp import interpreter, make_random_args, run_proc
+from repro.interp import clear_exec_stats, interpreter, make_random_args, run_proc
 from repro.machines import AVX2
 
 needs_cc = pytest.mark.skipif(native.find_cc() is None, reason="no C compiler on PATH")
@@ -23,10 +23,10 @@ def cache(tmp_path, monkeypatch):
     """A private, empty artifact cache with fresh counters."""
     monkeypatch.setenv("REPRO_NATIVE_CACHE", str(tmp_path))
     native.clear_memo()
-    native.reset_cache_stats()
+    clear_exec_stats()
     yield tmp_path
     native.clear_memo()
-    native.reset_cache_stats()
+    clear_exec_stats()
 
 
 def _saxpy():

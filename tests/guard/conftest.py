@@ -12,7 +12,7 @@ from __future__ import annotations
 import pytest
 
 from repro.backend import native
-from repro.guard import faults, reset_retry_stats
+from repro.guard import faults
 from repro.interp import clear_exec_stats
 
 
@@ -20,10 +20,8 @@ from repro.interp import clear_exec_stats
 def clean_guard_state():
     """Every test starts and ends with empty event/guard/retry counters."""
     clear_exec_stats()
-    reset_retry_stats()
     yield
     clear_exec_stats()
-    reset_retry_stats()
 
 
 @pytest.fixture
@@ -31,10 +29,10 @@ def cache(tmp_path, monkeypatch):
     """A private, empty native-artifact cache with fresh counters."""
     monkeypatch.setenv("REPRO_NATIVE_CACHE", str(tmp_path))
     native.clear_memo()
-    native.reset_cache_stats()
+    clear_exec_stats()
     yield tmp_path
     native.clear_memo()
-    native.reset_cache_stats()
+    clear_exec_stats()
 
 
 @pytest.fixture

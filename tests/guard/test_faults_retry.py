@@ -11,7 +11,6 @@ from repro.guard import (
     env_faults,
     inject,
     is_active,
-    reset_retry_stats,
     retry_stats,
     should_fire,
     with_retry,
@@ -80,7 +79,6 @@ def test_fault_names_match_the_documented_set():
 
 
 def test_with_retry_recovers_from_transient_failures():
-    reset_retry_stats()
     calls = []
 
     def flaky():

@@ -15,9 +15,9 @@ import pytest
 
 from repro.api import S, knob, seq
 from repro.api.trace import state_hash
-from repro.guard.events import clear_fallback_events, fallback_counts, record_fallback
-from repro.guard.retry import reset_retry_stats, retry_stats, with_retry
-from repro.interp import exec_stats
+from repro.guard.events import fallback_counts, record_fallback
+from repro.guard.retry import retry_stats, with_retry
+from repro.interp import clear_exec_stats, exec_stats
 from repro.primitives import counter
 
 
@@ -116,65 +116,56 @@ def test_structural_hash_memo_is_stable_across_threads(axpy):
 # -- exact telemetry counters ------------------------------------------------
 
 
-def test_fallback_counts_are_exact_under_threaded_hammering():
-    clear_fallback_events()
+def _retry_once(axpy):
+    attempts = [0]
+
+    def flaky():
+        attempts[0] += 1
+        if attempts[0] == 1:
+            raise OSError("transient")
+        return "ok"
+
+    assert with_retry(flaky, attempts=2, base_delay_s=0, label="stress") == "ok"
+
+
+# registry group: (one recording call, calls per thread, the group's view)
+_RECORDERS = {
+    "fallbacks": (lambda axpy: record_fallback("p", "c->compiled", "stress-test"), 500, fallback_counts),
+    "retries": (_retry_once, 100, retry_stats),
+    "primitives": (
+        lambda axpy: S.divide_loop("i", 16, ["io", "ii"]).apply(axpy, {}),
+        20,
+        lambda: {
+            "rewrites": counter.global_rewrite_count(),
+            "atomic_edits": counter.global_atomic_edit_count(),
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("group", sorted(_RECORDERS))
+def test_registry_views_are_exact_under_threads(group, axpy):
+    """8 threads hammer one recording path: its view and ``exec_stats()``
+    read exactly 8 x calls x what a single call records."""
+    record, per_thread, view = _RECORDERS[group]
+    n = 8
+    clear_exec_stats()
     try:
-        per_thread, n = 500, 8
+        record(axpy)
+        once = view()
+        assert once and all(v > 0 for v in once.values()), once
+        clear_exec_stats()
 
         def work(i):
             for _ in range(per_thread):
-                record_fallback("p", "c->compiled", "stress-test")
+                record(axpy)
 
         _run_threads(n, work)
-        assert fallback_counts() == {"stress-test": per_thread * n}
-        assert exec_stats()["fallbacks"] == {"stress-test": per_thread * n}
+        expected = {k: v * per_thread * n for k, v in once.items()}
+        assert view() == expected
+        assert exec_stats()[group] == expected
     finally:
-        clear_fallback_events()
-
-
-def test_retry_stats_are_exact_under_threaded_hammering():
-    reset_retry_stats()
-    try:
-        per_thread, n = 100, 8
-
-        def work(i):
-            for _ in range(per_thread):
-                attempts = [0]
-
-                def flaky():
-                    attempts[0] += 1
-                    if attempts[0] == 1:
-                        raise OSError("transient")
-                    return "ok"
-
-                assert (
-                    with_retry(flaky, attempts=2, base_delay_s=0, label="stress") == "ok"
-                )
-
-        _run_threads(n, work)
-        # exactly one retried attempt per with_retry call
-        assert retry_stats() == {"stress": per_thread * n}
-    finally:
-        reset_retry_stats()
-
-
-def test_global_rewrite_counter_is_exact_under_threads(axpy):
-    counter.reset_global_count()
-    try:
-        with counter.count_rewrites() as ref:
-            S.divide_loop("i", 16, ["io", "ii"]).apply(axpy, {})
-        per_apply = ref.total
-        counter.reset_global_count()
-        per_thread, n = 20, 8
-
-        def work(i):
-            for _ in range(per_thread):
-                S.divide_loop("i", 16, ["io", "ii"]).apply(axpy, {})
-
-        _run_threads(n, work)
-        assert counter.global_rewrite_count() == per_apply * per_thread * n
-    finally:
-        counter.reset_global_count()
+        clear_exec_stats()
 
 
 # -- the compile cache -------------------------------------------------------

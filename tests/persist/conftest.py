@@ -23,7 +23,7 @@ import os
 import pytest
 
 from repro.guard import faults
-from repro.guard.events import clear_fallback_events
+from repro.interp import clear_exec_stats
 
 #: fork start method: children inherit injected fault state and closures —
 #: exactly what the kill harness needs (and the only method that lets a
@@ -49,9 +49,9 @@ def _chaos_guard(request):
 def _clean_events():
     """Fallback-event counters start and end empty (the lock-contention
     degradation tests assert exact event contents)."""
-    clear_fallback_events()
+    clear_exec_stats()
     yield
-    clear_fallback_events()
+    clear_exec_stats()
 
 
 @pytest.fixture

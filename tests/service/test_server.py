@@ -232,3 +232,32 @@ def test_shutdown_unlinks_the_socket_and_journals_requests(tmp_path, make_server
     assert journal.exists()
     lines = [l for l in journal.read_text().splitlines() if l.strip()]
     assert len(lines) >= 2  # ping + shutdown
+
+
+def test_stats_and_exec_stats_read_one_snapshot(server):
+    """``/stats`` carries every process-wide group ``exec_stats()`` reports,
+    ``parallel`` included, with equal values once the server is idle."""
+    import numpy as np
+
+    from repro import proc_from_source
+    from repro.guard import record_fallback
+    from repro.interp import clear_exec_stats, exec_stats, run_proc
+    from repro.primitives import parallelize_loop
+
+    clear_exec_stats()
+    try:
+        with server.client() as c:
+            c.schedule(proc=SAXPY, schedule=LEVEL1, knobs={"interleave": 2})
+        record_fallback("p", "c->compiled", "stats-parity")
+        scale = parallelize_loop(proc_from_source(SCALE_SRC), "i")
+        run_proc(scale, n=64, x=np.ones(64, np.float32), backend="compiled", threads=2)
+        with server.client() as c:
+            remote = c.stats()
+        local = exec_stats()
+        groups = [g for g in local if g != "events"]
+        assert "parallel" in groups and remote["parallel"]["par_loops"] == 1
+        assert local["primitives"]["rewrites"] > 0
+        for group in groups:
+            assert remote[group] == local[group], group
+    finally:
+        clear_exec_stats()
