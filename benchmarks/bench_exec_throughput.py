@@ -11,10 +11,17 @@ identical inputs.
 
 When a C toolchain is on PATH the native backend (ISSUE 6) joins as a third
 column: each kernel is also timed as compiled C with real AVX intrinsics
-(``backend="c"``), cross-checked against the interpreter, and two more gates
-apply — the C build must beat the compiled NumPy engine on at least one
-kernel, and re-resolving every artifact after dropping the in-process memo
-must be pure warm disk hits (no recompiles), proving the persistent cache.
+(the bare loaded kernel), cross-checked against the interpreter, and then end
+to end as a warm ``run_proc(backend="c")`` — argument checks, the in-process
+artifact lookup, the trust check and the call — with the ratio of the two
+reported, so the dispatch overhead is never hidden behind the kernel time.
+Three more gates apply: the C build must beat the compiled NumPy engine on
+at least one kernel, re-resolving every artifact after dropping the
+in-process memo must be pure warm disk hits (no recompiles), proving the
+persistent cache, and a warm ``run_proc(backend="c")`` on the scheduled
+saxpy at n = 16 (where the kernel is negligible and the per-call fixed cost
+is everything) must be no slower than the compiled engine's warm
+``run_proc``.
 
 The first native run of a never-validated artifact is quarantined (ISSUE 7):
 executed in a forked watchdogged child before being trusted in-process.  The
@@ -103,6 +110,7 @@ def _bench(proc, size_env, elems: int, interp_repeat: int = 1):
             native = {"declined": f"{type(exc).__name__}: {exc}"}
         else:
             t_native = _time(fresh, lambda a: kernel(a), repeat=7)
+            t_native_e2e = _time(fresh, lambda a: run_proc(proc, backend="c", **a), repeat=7)
             native_args = fresh()
             kernel(native_args)
             native_agree = all(
@@ -114,6 +122,8 @@ def _bench(proc, size_env, elems: int, interp_repeat: int = 1):
                 "native_s": t_native,
                 "native_elems_per_s": elems / t_native,
                 "native_vs_compiled": t_compiled / t_native,
+                "native_run_proc_s": t_native_e2e,
+                "native_e2e_over_kernel": t_native_e2e / t_native,
                 "agree": bool(native_agree),
             }
 
@@ -181,6 +191,26 @@ def quarantine_overhead() -> dict | None:
     }
 
 
+def dispatch_gate(proc) -> dict | None:
+    """Warm ``run_proc`` per-call time of the C and compiled backends at
+    n = 16, medians over 301 interleaved calls each (so background load hits
+    both legs alike).  None when no toolchain is available."""
+    if native_backend.find_cc() is None:
+        return None
+    n = 16
+    args = make_random_args(proc, {"n": n})
+    times = {"c": [], "compiled": []}
+    for backend in times:
+        run_proc(proc, backend=backend, **args)  # warm: build, quarantine, compile
+    for _ in range(301):
+        for backend, ts in times.items():
+            t0 = time.perf_counter()
+            run_proc(proc, backend=backend, **args)
+            ts.append(time.perf_counter() - t0)
+    c_s, compiled_s = (float(np.median(times[b])) for b in ("c", "compiled"))
+    return {"n": n, "c_run_proc_s": c_s, "compiled_run_proc_s": compiled_s, "c_over_compiled": c_s / compiled_s}
+
+
 def tier1_wall_clock() -> float:
     env = dict(os.environ)
     env["PYTHONPATH"] = f"{REPO / 'src'}" + (
@@ -246,6 +276,7 @@ def main(argv) -> int:
         }
 
     quarantine_summary = quarantine_overhead()
+    dispatch = dispatch_gate(sched)
 
     out = {
         "bench": "exec_throughput",
@@ -253,6 +284,7 @@ def main(argv) -> int:
         "kernels": results,
         "native": native_summary,
         "quarantine": quarantine_summary,
+        "dispatch": dispatch,
         "fallbacks": exec_stats()["fallbacks"],
         "tier1_wall_s": None,
     }
@@ -268,7 +300,10 @@ def main(argv) -> int:
         c = r["compile"]
         nat = r["native"]
         if nat and "native_elems_per_s" in nat:
-            nat_col = f"C {nat['native_elems_per_s'] / 1e6:8.2f} M elems/s ({nat['native_vs_compiled']:.1f}x NumPy)"
+            nat_col = (
+                f"C {nat['native_elems_per_s'] / 1e6:8.2f} M elems/s ({nat['native_vs_compiled']:.1f}x NumPy) "
+                f"run_proc {nat['native_run_proc_s'] * 1e6:8.1f} us ({nat['native_e2e_over_kernel']:.1f}x kernel)"
+            )
         elif nat:
             nat_col = "C declined"
         else:
@@ -290,6 +325,12 @@ def main(argv) -> int:
             f"vs warm validated {quarantine_summary['warm_validated_s'] * 1e3:.2f} ms "
             f"({quarantine_summary['overhead_x']:.1f}x one-time) | "
             f"guarded_runs={quarantine_summary['guarded_runs']}"
+        )
+    if dispatch is not None:
+        print(
+            f"  warm run_proc at n={dispatch['n']}: C {dispatch['c_run_proc_s'] * 1e6:.1f} us "
+            f"vs compiled {dispatch['compiled_run_proc_s'] * 1e6:.1f} us "
+            f"({dispatch['c_over_compiled']:.2f}x)"
         )
     if out["tier1_wall_s"] is not None:
         print(f"  tier-1 wall clock: {out['tier1_wall_s']:.1f} s")
@@ -320,6 +361,12 @@ def main(argv) -> int:
                 f"(disk_hits={native_summary['warm_disk_hits']}, "
                 f"compiles={native_summary['warm_compiles']})"
             )
+    if dispatch is not None and dispatch["c_over_compiled"] > 1.0:
+        failures.append(
+            f"warm run_proc(backend='c') at n={dispatch['n']} is slower than the compiled "
+            f"engine ({dispatch['c_run_proc_s'] * 1e6:.1f} us vs "
+            f"{dispatch['compiled_run_proc_s'] * 1e6:.1f} us)"
+        )
     if quarantine_summary is not None:
         # the guard must run exactly once (the first call) and validate
         # cleanly; warm validated calls must never re-enter it

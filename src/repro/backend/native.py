@@ -14,7 +14,10 @@ same discipline as the tuner leaderboard — on
 
 where the procedure digest is the sha256 of the *printed* procedure (process
 stable, unlike the in-memory ``struct_hash``).  Warm runs therefore skip the
-compiler entirely, across processes.  Artifacts are written atomically
+compiler entirely, across processes.  Within a process, a loaded kernel is
+memoized on the procedure identity (:func:`repro.ir.build.proc_identity`),
+the resolved options and the compiler path, so a warm call does not even
+recompute the key (see :func:`compile_native`).  Artifacts are written atomically
 (temp file + rename), corrupt or truncated ``.so`` files are evicted and
 rebuilt, and the cache is LRU-pruned so it cannot grow without bound.
 
@@ -58,6 +61,7 @@ shared object's own ``omp_set_num_threads`` (``call_guarded(threads=...)``).
 from __future__ import annotations
 
 import ctypes
+import functools
 import hashlib
 import os
 import platform
@@ -74,6 +78,8 @@ from .. import obs
 from ..errors import BackendError
 from ..guard import faults, quarantine
 from ..guard.retry import with_retry
+from ..ir import nodes as N
+from ..ir.build import proc_identity, walk
 from ..ir.printing import proc_str
 from ..persist import CorruptRecordError, read_record, write_record, write_text_atomic
 from .codegen import CODEGEN_VERSION, CodegenError, CodegenOptions, NativeUnit, emit_unit
@@ -138,8 +144,10 @@ class ArtifactPoisonedError(NativeError):
 
 MAX_CACHE_ENTRIES = 256
 
-_memo: Dict[str, "NativeProc"] = {}
+# warm memo: (proc identity, resolved options key, cc path) -> loaded kernel
+_memo: Dict[tuple, "NativeProc"] = {}
 _cc_version_memo: Dict[str, str] = {}
+_which_memo: Dict[Tuple[str, str], str] = {}  # (CC, PATH) -> compiler path
 # one lock for the in-process memo maps, shared by every thread that
 # compiles or trust-checks an artifact (e.g. schedule-service workers)
 _lock = threading.Lock()
@@ -170,12 +178,24 @@ def cache_dir() -> str:
 def find_cc() -> Optional[str]:
     """Absolute path of the system C compiler, or None.
 
+    The ``shutil.which`` lookup is memoized per ``($CC, $PATH)``; a miss is
+    never memoized, so installing a compiler mid-process is noticed.
+
     Fault site: the ``cc-missing`` fault makes this report no compiler, so
     every consumer (execution ladder, differential leg, tuner, benchmarks)
     exercises its no-toolchain degradation path."""
     if faults.should_fire("cc-missing"):
         return None
-    return shutil.which(os.environ.get("CC") or "cc")
+    name = os.environ.get("CC") or "cc"
+    probe = (name, os.environ.get("PATH", ""))
+    with _lock:
+        got = _which_memo.get(probe)
+    if got is None:
+        got = shutil.which(name)
+        if got is not None:
+            with _lock:
+                _which_memo[probe] = got
+    return got
 
 
 _omp_memo: Dict[str, bool] = {}
@@ -220,12 +240,12 @@ def openmp_supported(cc: str) -> bool:
 
 
 def _has_par(root) -> bool:
-    from ..ir import nodes as N
-    from ..ir.build import walk
-
-    return any(
-        isinstance(n, N.For) and n.pragma == "par" for n, _ in walk(root)
-    )
+    # memoised on the root, like its proc_identity (roots are immutable)
+    cached = getattr(root, "_has_par_cache", None)
+    if cached is None:
+        cached = any(isinstance(n, N.For) and n.pragma == "par" for n, _ in walk(root))
+        root._has_par_cache = cached
+    return cached
 
 
 def _resolve_openmp(
@@ -253,7 +273,8 @@ def _resolve_openmp(
 
 
 def cc_version(cc: str) -> str:
-    got = _cc_version_memo.get(cc)
+    with _lock:
+        got = _cc_version_memo.get(cc)
     if got is None:
         try:
             out = subprocess.run(
@@ -262,10 +283,12 @@ def cc_version(cc: str) -> str:
             got = out.splitlines()[0].strip() if out else "unknown"
         except (OSError, subprocess.SubprocessError):
             got = "unknown"
-        _cc_version_memo[cc] = got
+        with _lock:
+            _cc_version_memo[cc] = got
     return got
 
 
+@functools.lru_cache(maxsize=None)
 def _machine_id() -> str:
     try:
         from ..tune.results import machine_id
@@ -291,7 +314,12 @@ def artifact_key(procedure, options: Optional[CodegenOptions] = None, cc: Option
     options = _resolve_openmp(
         root, options, cc if os.path.exists(cc) else None, record=False
     )
-    unit = emit_unit(root, options)
+    return _key_of(root, options, cc, emit_unit(root, options))
+
+
+def _key_of(root, options: CodegenOptions, cc: str, unit: NativeUnit) -> str:
+    """:func:`artifact_key` of an already-emitted ``unit`` (``options``
+    resolved)."""
     parts = "|".join(
         [
             f"codegen={CODEGEN_VERSION}",
@@ -555,6 +583,13 @@ def compile_native(
     Raises :class:`CodegenError` when the procedure cannot be lowered to C
     and :class:`NativeUnavailableError` when no working toolchain is
     available; both are non-destructive (nothing half-built is left behind).
+
+    A procedure already loaded in this process is returned from the warm
+    memo, keyed on its :func:`~repro.ir.build.proc_identity`, the resolved
+    options and the compiler path — without re-emitting, printing or hashing
+    it.  The lookup comes after the ``cc-missing`` and ``omp-missing`` fault
+    sites, which therefore still fire (and change the key) on warm calls;
+    the artifact's trust status is checked per call by :func:`call_guarded`.
     """
     root = procedure._root if hasattr(procedure, "_root") else procedure
     options = options or CodegenOptions()
@@ -565,14 +600,15 @@ def compile_native(
         raise err
 
     options = _resolve_openmp(root, options, cc, record=True)
-    unit = emit_unit(root, options)  # may raise CodegenError
-    key = artifact_key(root, options, cc)
+    warm = (proc_identity(root), options.key(), cc)
     with _lock:
-        memo = _memo.get(key)
+        memo = _memo.get(warm)
     if memo is not None:
         obs.add("native_cache", "memo_hits")
         return memo
 
+    unit = emit_unit(root, options)  # may raise CodegenError
+    key = _key_of(root, options, cc, unit)
     directory = directory or cache_dir()
     os.makedirs(directory, exist_ok=True)
     so_path = os.path.join(directory, f"{key}.so")
@@ -620,7 +656,7 @@ def compile_native(
             raise NativeUnavailableError(f"cannot load freshly built {so_path}: {exc}") from exc
         _prune(directory, MAX_CACHE_ENTRIES)
     with _lock:
-        _memo[key] = proc
+        _memo[warm] = proc
     return proc
 
 

@@ -63,18 +63,14 @@ assumes distinct buffer arguments do not alias.
 
 Caching
 -------
-Compiled callables are cached keyed by the PR-1 structural hash
-(:func:`repro.ir.build.struct_hash`) plus an alpha-identity signature (the
-order of first occurrence of each distinct symbol, since ``struct_hash``
-compares symbols by name only) plus an argument-type token (``struct_hash``
-ignores ``FnArg`` types, but guard elision depends on them) plus the resolved
-inlining knob (the two settings generate different code) plus the resolved
-``par``-loop thread count (the dispatch call sites embed it; see
-:mod:`repro.interp.parallel`).  The cache is
-flushed lazily whenever the edit engine has bumped the global mutation epoch
-since the last compile, so no entry can outlive an in-place tree mutation;
-within an epoch, structurally identical procedures (e.g. one ``@instr``
-called from many scheduled kernels) share one compiled callable.
+Compiled callables are cached keyed by the procedure identity
+(:func:`repro.ir.build.proc_identity`: structural hash, alpha-identity
+signature and argument-type token — the same notion of "same procedure" the
+native backend's in-process memo uses) plus the resolved inlining knob (the
+two settings generate different code) plus the resolved ``par``-loop thread
+count (the dispatch call sites embed it; see :mod:`repro.interp.parallel`).
+Structurally identical procedures (e.g. one ``@instr`` called from many
+scheduled kernels) share one compiled callable.
 """
 
 from __future__ import annotations
@@ -100,7 +96,7 @@ from ..ir.build import (
     alpha_rename_stmts,
     collect_allocs,
     collect_syms_written,
-    struct_hash,
+    proc_identity,
     structurally_equal,
     subst_expr,
     subst_stmts,
@@ -111,7 +107,7 @@ from ..ir.externs import extern_by_name
 from ..ir.syms import Sym
 from ..ir.types import ScalarType, TensorType
 from .interpreter import InterpError, _Interp
-from .parallel import par_for, resolve_num_threads
+from .parallel import MAX_THREADS, par_for, resolve_num_threads
 
 __all__ = [
     "CompileError",
@@ -261,15 +257,15 @@ class CompiledProc:
 # Cache
 # ---------------------------------------------------------------------------
 
-# The compiled-code cache is content-addressed (structural hash + alpha
-# signature + argument types + inliner flag), so entries stay valid across
-# edits — editing never mutates a published root in place (see
-# ``struct_hash``'s contract in ir.build).  A lock guards the map itself so
+# The compiled-code cache is content-addressed (procedure identity + inliner
+# flag + thread count), so entries stay valid across edits — editing never
+# mutates a published root in place (see ``struct_hash``'s contract in
+# ir.build).  A lock guards the map itself so
 # concurrent threads (e.g. schedule-service workers) can compile and run
 # procedures in parallel; compilation happens *outside* the lock, so two
 # threads may race to compile the same key and one result wins — wasted work,
 # never a wrong answer.
-_CACHE: Dict[Tuple[int, int, int, bool, int], CompiledProc] = {}
+_CACHE: Dict[Tuple[Tuple[int, int, int], bool, int], CompiledProc] = {}
 _CACHE_LOCK = threading.Lock()
 _CACHE_LIMIT = 512
 # recursion detection is per call stack, hence per thread
@@ -281,56 +277,6 @@ def _in_progress() -> Set[int]:
     if ids is None:
         ids = _TLS.in_progress = set()
     return ids
-
-
-def _alias_sig(root: N.ProcDef) -> int:
-    """Hash of the first-occurrence order of each distinct symbol.
-
-    ``struct_hash`` compares symbols by *name*; two trees can hash equally yet
-    bind same-named symbols differently.  Combining the hash with this
-    signature makes the cache key alpha-exact.  Memoised on the root —
-    permanently, like the structural hash, because published roots are never
-    mutated in place.
-    """
-    cached = getattr(root, "_alias_sig_cache", None)
-    if cached is not None:
-        return cached
-    first: Dict[Sym, int] = {}
-
-    def key_of(sym: Sym) -> int:
-        if sym not in first:
-            first[sym] = len(first)
-        return first[sym]
-
-    sig: List[int] = []
-    for a in root.args:
-        sig.append(key_of(a.name))
-    for n, _ in walk(root):
-        if isinstance(n, (N.Read, N.WindowExpr, N.StrideExpr, N.Assign, N.Reduce, N.Alloc, N.WindowStmt)):
-            sig.append(key_of(n.name))
-        elif isinstance(n, N.For):
-            sig.append(key_of(n.iter))
-    h = hash(tuple(sig))
-    root._alias_sig_cache = h
-    return h
-
-
-def _arg_type_token(root: N.ProcDef) -> int:
-    """Hash of the declared argument types.
-
-    ``struct_hash`` deliberately ignores expression result types (and with
-    them ``FnArg.typ``), but the compiled code *does* depend on them — e.g. a
-    ``size`` argument elides negative-index guards that an ``index`` argument
-    must keep — so argument types are a separate cache-key component.
-    """
-    parts: List[object] = []
-    for a in root.args:
-        t = a.typ
-        if isinstance(t, TensorType):
-            parts.append(("t", t.base.name, t.is_window, tuple(struct_hash(e) for e in t.shape)))
-        else:
-            parts.append(("s", t.name))
-    return hash(tuple(parts))
 
 
 def _inline_enabled(flag: Optional[bool]) -> bool:
@@ -350,15 +296,18 @@ def compile_proc(
     ``inline`` controls the cross-procedure inliner (see
     :func:`_inline_procedure`); ``None`` defers to ``REPRO_EXEC_INLINE``.
     ``threads`` is the worker count ``par`` loops dispatch over (``None``
-    defers to ``REPRO_NUM_THREADS`` / the CPU count); the resolved count is
-    embedded in the generated dispatch calls and is therefore part of the
-    cache key.  Raises :class:`CompileError` when the procedure cannot be
-    lowered at all.
+    defers to ``REPRO_NUM_THREADS`` / the CPU count; a count ``run_proc``
+    already resolved is used as given); the resolved count is embedded in
+    the generated dispatch calls and is therefore part of the cache key.
+    Raises :class:`CompileError` when the procedure cannot be lowered at all.
     """
     root = getattr(procedure, "_root", procedure)
     inl = _inline_enabled(inline)
-    nthreads = resolve_num_threads(threads)
-    key = (struct_hash(root), _alias_sig(root), _arg_type_token(root), inl, nthreads)
+    if type(threads) is int and 1 <= threads <= MAX_THREADS:
+        nthreads = threads
+    else:
+        nthreads = resolve_num_threads(threads)
+    key = (proc_identity(root), inl, nthreads)
     with _CACHE_LOCK:
         hit = _CACHE.get(key)
     if hit is not None:

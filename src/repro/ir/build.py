@@ -34,6 +34,7 @@ __all__ = [
     "copy_stmts",
     "alpha_rename_stmts",
     "struct_hash",
+    "proc_identity",
     "structurally_equal",
     "collect_syms_read",
     "collect_syms_written",
@@ -332,10 +333,9 @@ def struct_hash(node) -> int:
     it safe to compute from concurrent threads (the worst race is two threads
     storing the same value).
 
-    Consumers: besides structural-equality pruning, the compiled execution
-    engine (:mod:`repro.interp.compile`) keys its code cache on this hash (plus
-    an alpha-identity signature), and the replay cache keys scheduled results
-    on it.
+    Consumers: besides structural-equality pruning, both execution engines
+    key their in-process caches on it (through :func:`proc_identity`), and
+    the replay cache keys scheduled results on it.
     """
     return _struct_hash(node)
 
@@ -370,6 +370,58 @@ def _struct_hash(v) -> int:
         return hash(v)
     except TypeError:
         return id(v)
+
+
+def proc_identity(root: N.ProcDef) -> Tuple[int, int, int]:
+    """What "the same procedure" means to the execution engines:
+    ``(struct_hash, alpha signature, argument-type token)``.
+
+    ``struct_hash`` compares symbols by name and ignores ``FnArg`` types, but
+    generated code depends on both — how same-named symbols are bound, and
+    e.g. a ``size`` argument eliding guards an ``index`` argument keeps, or
+    an ``f32`` argument becoming ``float *`` rather than ``double *`` — so
+    the two extra components make the identity alpha- and type-exact.  The
+    compiled NumPy engine and the native backend's in-process memo both key
+    on it.  Memoised on the root permanently, like the structural hash
+    (published roots are never mutated in place).
+    """
+    cached = getattr(root, "_identity_cache", None)
+    if cached is None:
+        cached = (struct_hash(root), _alias_sig(root), _arg_type_token(root))
+        root._identity_cache = cached
+    return cached
+
+
+def _alias_sig(root: N.ProcDef) -> int:
+    """Hash of the first-occurrence order of each distinct symbol."""
+    first: Dict[Sym, int] = {}
+
+    def key_of(sym: Sym) -> int:
+        if sym not in first:
+            first[sym] = len(first)
+        return first[sym]
+
+    sig: List[int] = []
+    for a in root.args:
+        sig.append(key_of(a.name))
+    for n, _ in walk(root):
+        if isinstance(n, (N.Read, N.WindowExpr, N.StrideExpr, N.Assign, N.Reduce, N.Alloc, N.WindowStmt)):
+            sig.append(key_of(n.name))
+        elif isinstance(n, N.For):
+            sig.append(key_of(n.iter))
+    return hash(tuple(sig))
+
+
+def _arg_type_token(root: N.ProcDef) -> int:
+    """Hash of the declared argument types."""
+    parts: List[object] = []
+    for a in root.args:
+        t = a.typ
+        if isinstance(t, TensorType):
+            parts.append(("t", t.base.name, t.is_window, tuple(struct_hash(e) for e in t.shape)))
+        else:
+            parts.append(("s", t.name))
+    return hash(tuple(parts))
 
 
 def structurally_equal(a, b, *, match_sym_names: bool = False) -> bool:
