@@ -21,7 +21,7 @@ in-process memo must be pure warm disk hits (no recompiles), proving the
 persistent cache, and a warm ``run_proc(backend="c")`` on the scheduled
 saxpy at n = 16 (where the kernel is negligible and the per-call fixed cost
 is everything) must be no slower than the compiled engine's warm
-``run_proc``.
+``run_proc``, as the median over several interleaved rounds.
 
 The first native run of a never-validated artifact is quarantined (ISSUE 7):
 executed in a forked watchdogged child before being trusted in-process.  The
@@ -191,24 +191,38 @@ def quarantine_overhead() -> dict | None:
     }
 
 
-def dispatch_gate(proc) -> dict | None:
+def dispatch_gate(proc, rounds: int = 5, calls: int = 301) -> dict | None:
     """Warm ``run_proc`` per-call time of the C and compiled backends at
-    n = 16, medians over 301 interleaved calls each (so background load hits
-    both legs alike).  None when no toolchain is available."""
+    n = 16.  Each of ``rounds`` rounds interleaves ``calls`` calls of each
+    backend (so background load hits both legs alike) and takes the
+    per-backend medians; the gate reads the median over rounds, and the
+    per-round ratios are kept so one noisy round shows as spread, not as a
+    regression.  None when no toolchain is available."""
     if native_backend.find_cc() is None:
         return None
     n = 16
     args = make_random_args(proc, {"n": n})
-    times = {"c": [], "compiled": []}
-    for backend in times:
+    for backend in ("c", "compiled"):
         run_proc(proc, backend=backend, **args)  # warm: build, quarantine, compile
-    for _ in range(301):
-        for backend, ts in times.items():
-            t0 = time.perf_counter()
-            run_proc(proc, backend=backend, **args)
-            ts.append(time.perf_counter() - t0)
-    c_s, compiled_s = (float(np.median(times[b])) for b in ("c", "compiled"))
-    return {"n": n, "c_run_proc_s": c_s, "compiled_run_proc_s": compiled_s, "c_over_compiled": c_s / compiled_s}
+    per_round = []
+    for _ in range(rounds):
+        times = {"c": [], "compiled": []}
+        for _ in range(calls):
+            for backend, ts in times.items():
+                t0 = time.perf_counter()
+                run_proc(proc, backend=backend, **args)
+                ts.append(time.perf_counter() - t0)
+        per_round.append(tuple(float(np.median(times[b])) for b in ("c", "compiled")))
+    ratios = [c / compiled for c, compiled in per_round]
+    return {
+        "n": n,
+        "rounds": rounds,
+        "calls_per_round": calls,
+        "c_run_proc_s": float(np.median([c for c, _ in per_round])),
+        "compiled_run_proc_s": float(np.median([compiled for _, compiled in per_round])),
+        "c_over_compiled": float(np.median(ratios)),
+        "c_over_compiled_rounds": ratios,
+    }
 
 
 def tier1_wall_clock() -> float:
@@ -330,7 +344,8 @@ def main(argv) -> int:
         print(
             f"  warm run_proc at n={dispatch['n']}: C {dispatch['c_run_proc_s'] * 1e6:.1f} us "
             f"vs compiled {dispatch['compiled_run_proc_s'] * 1e6:.1f} us "
-            f"({dispatch['c_over_compiled']:.2f}x)"
+            f"({dispatch['c_over_compiled']:.2f}x, median of {dispatch['rounds']} rounds; "
+            f"rounds {min(dispatch['c_over_compiled_rounds']):.2f}x..{max(dispatch['c_over_compiled_rounds']):.2f}x)"
         )
     if out["tier1_wall_s"] is not None:
         print(f"  tier-1 wall clock: {out['tier1_wall_s']:.1f} s")

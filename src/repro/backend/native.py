@@ -302,11 +302,18 @@ def _sha(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def artifact_key(procedure, options: Optional[CodegenOptions] = None, cc: Optional[str] = None) -> str:
+def artifact_key(
+    procedure,
+    options: Optional[CodegenOptions] = None,
+    cc: Optional[str] = None,
+    unit: Optional[NativeUnit] = None,
+) -> str:
     """The persistent cache key for one procedure's compiled artifact.
 
     Stable across processes: every component is either a version constant, a
-    digest of printed text, or a machine/toolchain identifier.
+    digest of printed text, or a machine/toolchain identifier.  ``unit`` is
+    the procedure's already-emitted C for these options, when the caller has
+    it; otherwise it is emitted here.
     """
     root = procedure._root if hasattr(procedure, "_root") else procedure
     options = options or CodegenOptions()
@@ -314,12 +321,8 @@ def artifact_key(procedure, options: Optional[CodegenOptions] = None, cc: Option
     options = _resolve_openmp(
         root, options, cc if os.path.exists(cc) else None, record=False
     )
-    return _key_of(root, options, cc, emit_unit(root, options))
-
-
-def _key_of(root, options: CodegenOptions, cc: str, unit: NativeUnit) -> str:
-    """:func:`artifact_key` of an already-emitted ``unit`` (``options``
-    resolved)."""
+    if unit is None:
+        unit = emit_unit(root, options)
     parts = "|".join(
         [
             f"codegen={CODEGEN_VERSION}",
@@ -608,7 +611,7 @@ def compile_native(
         return memo
 
     unit = emit_unit(root, options)  # may raise CodegenError
-    key = _key_of(root, options, cc, unit)
+    key = artifact_key(root, options, cc, unit)
     directory = directory or cache_dir()
     os.makedirs(directory, exist_ok=True)
     so_path = os.path.join(directory, f"{key}.so")

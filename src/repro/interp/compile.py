@@ -107,7 +107,7 @@ from ..ir.externs import extern_by_name
 from ..ir.syms import Sym
 from ..ir.types import ScalarType, TensorType
 from .interpreter import InterpError, _Interp
-from .parallel import MAX_THREADS, par_for, resolve_num_threads
+from .parallel import par_for, resolve_num_threads
 
 __all__ = [
     "CompileError",
@@ -296,17 +296,14 @@ def compile_proc(
     ``inline`` controls the cross-procedure inliner (see
     :func:`_inline_procedure`); ``None`` defers to ``REPRO_EXEC_INLINE``.
     ``threads`` is the worker count ``par`` loops dispatch over (``None``
-    defers to ``REPRO_NUM_THREADS`` / the CPU count; a count ``run_proc``
-    already resolved is used as given); the resolved count is embedded in
-    the generated dispatch calls and is therefore part of the cache key.
-    Raises :class:`CompileError` when the procedure cannot be lowered at all.
+    defers to ``REPRO_NUM_THREADS`` / the CPU count); the resolved count is
+    embedded in the generated dispatch calls and is therefore part of the
+    cache key.  Raises :class:`CompileError` when the procedure cannot be
+    lowered at all.
     """
     root = getattr(procedure, "_root", procedure)
     inl = _inline_enabled(inline)
-    if type(threads) is int and 1 <= threads <= MAX_THREADS:
-        nthreads = threads
-    else:
-        nthreads = resolve_num_threads(threads)
+    nthreads = resolve_num_threads(threads)
     key = (proc_identity(root), inl, nthreads)
     with _CACHE_LOCK:
         hit = _CACHE.get(key)
